@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench docs-check examples-check ablate-smoke loadrig-smoke idxbench-guard live-smoke streambench-smoke
+.PHONY: check build vet lint test race bench docs-check examples-check ablate-smoke loadrig-smoke idxbench-guard live-smoke
 
 check: build vet race
 
@@ -61,8 +61,11 @@ idxbench-guard:
 # the same directory from another, rendering the rolling dashboard and
 # exiting once the feed goes idle; a batch replay of the sealed store
 # must then reproduce the live run's final snapshot byte-for-byte.
-# CI's live-smoke job calls this. Binaries are prebuilt so the two
-# processes start (and die) cleanly under timeout.
+# A second live run with a 2-day window over the 3-day store exercises
+# eviction and late drops (the store feeds probes in spill order): its
+# final snapshot must match a replay of the window's days
+# (-since 2016-03-08). CI's live-smoke job calls this. Binaries are
+# prebuilt so the two processes start (and die) cleanly under timeout.
 live-smoke:
 	set -e; \
 	work=$$(mktemp -d -t sb-live-smoke.XXXXXX); \
@@ -79,20 +82,15 @@ live-smoke:
 		-index "$$work/store/index.urls" -longitudinal \
 		-snapshot-out "$$work/batch.txt" > /dev/null; \
 	cmp "$$work/live.txt" "$$work/batch.txt"; \
-	echo "live-smoke: live snapshot matches batch replay"
-
-# streambench-smoke pumps a small captured campaign feed through the
-# full streaming pipeline, then validates the emitted BENCH_stream.json
-# through the strict schema reader; CI's bench-smoke job calls this.
-# (The committed trajectory artifact is produced by the full run:
-# experiments -streambench -clients 1000 -days 7 -bench-out ...)
-streambench-smoke:
-	out=$$(mktemp -t BENCH_stream.XXXXXX.json) && \
-	trap 'rm -f "$$out"' EXIT && \
-	timeout 300 $(GO) run ./cmd/experiments -streambench \
-		-days 3 -clients 100 -seed 42 -stream-window 2 \
-		-bench-out "$$out" && \
-	$(GO) run ./tools/doccheck -bench "$$out"
+	timeout 120 "$$work/sbanalyze" -live "$$work/store" -window 2 \
+		-refresh 1 -exit-idle 1 -follow-poll 20ms \
+		-snapshot-out "$$work/live2.txt" > "$$work/live2.log"; \
+	timeout 120 "$$work/sbanalyze" -probe-store "$$work/store" \
+		-index "$$work/store/index.urls" -longitudinal -since 2016-03-08 \
+		-snapshot-out "$$work/batch2.txt" > /dev/null; \
+	cmp "$$work/live2.txt" "$$work/batch2.txt"; \
+	awk '$$1 == "reident" && $$5 > 0 { ok = 1 } END { exit !ok }' "$$work/live2.log"; \
+	echo "live-smoke: live snapshots match batch replays (unbounded and 2-day window)"
 
 build:
 	$(GO) build ./...

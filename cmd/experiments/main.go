@@ -8,7 +8,6 @@
 //	experiments -loadtest 8 -loadtest-secs 5   # provider throughput load test
 //	experiments -loadrig -loadrig-workers 64   # fleet rig over real sockets
 //	experiments -idxbench -bench-out BENCH_prefixtable.json   # serving-index bench
-//	experiments -streambench -bench-out BENCH_stream.json     # streaming-pipeline bench
 //	experiments -campaign -days 7 -clients 1000 -seed 42
 //
 // Scale knobs: -hosts controls the synthetic corpus size (Figures 5/6,
@@ -32,11 +31,6 @@
 // prefix table on identical workloads at each -idxbench-sizes count.
 // With -idxbench-baseline it also guards the run against a committed
 // BENCH_prefixtable.json and fails if the flat design regressed.
-//
-// Stream bench mode (-streambench) captures a campaign's probe feed
-// (-days, -clients, -seed) and pumps it through the full streaming
-// analysis pipeline of internal/stream — sustained probes/sec plus the
-// peak resident state the -stream-window day window actually held.
 //
 // The bench modes write their machine-readable report to -bench-out.
 // The default is "" (don't write): BENCH_*.json files are gitignored
@@ -100,10 +94,7 @@ func run() int {
 		rigBurst    = flag.Int("loadrig-burst", 0, "server token-bucket burst capacity (0 = ceil(rate))")
 		rigInflight = flag.Int("loadrig-inflight", 0, "server max concurrent requests in flight (0 = unlimited)")
 		rigRetries  = flag.Int("loadrig-retries", 0, "client retry budget per request (0 = default policy, negative = no retries)")
-		benchOut    = flag.String("bench-out", "", "machine-readable report path for -loadrig / -idxbench / -streambench ('' = don't write)")
-
-		streambench  = flag.Bool("streambench", false, "benchmark the streaming analysis pipeline over a captured campaign feed instead of experiments")
-		streamWindow = flag.Int("stream-window", 7, "streambench pipeline sliding window in days (0 = unbounded)")
+		benchOut    = flag.String("bench-out", "", "machine-readable report path for -loadrig / -idxbench ('' = don't write)")
 
 		idxbench         = flag.Bool("idxbench", false, "run the serving-index benchmark (striped-map vs prefixtable) instead of experiments")
 		idxbenchSizes    = flag.String("idxbench-sizes", "100000,1000000", "comma-separated prefix counts for -idxbench")
@@ -145,18 +136,6 @@ func run() int {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: campaign: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *streambench {
-		err := runStreambench(os.Stdout, streambenchOptions{
-			clients: *clients, days: *days, seed: *seed,
-			window: *streamWindow, benchOut: *benchOut,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: streambench: %v\n", err)
 			return 1
 		}
 		return 0

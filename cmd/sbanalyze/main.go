@@ -1,5 +1,5 @@
-// Command sbanalyze is the provider-side analysis tool. It has two
-// modes.
+// Command sbanalyze is the provider-side analysis tool. It audits the
+// blacklists, or it scores a probe feed read from a probe store.
 //
 // Blacklist audit mode (the default) runs the paper's Section 7 audit
 // against the synthetic provider databases: orphan prefixes (Table 11),
@@ -7,89 +7,92 @@
 //
 //	sbanalyze -provider yandex -scale 100
 //
-// Probe-log replay mode (-probe-store) replays a persisted probe log
-// written by "sbserver -probe-store" and runs the Section 6
-// re-identification analysis over it offline — demonstrating that a
-// provider which retains the probe stream can draw every conclusion a
-// live wiretap could, long after the fact:
+// The probe-feed modes score the probes a store written by "sbserver
+// -probe-store" or "experiments -campaign" holds. A provider that keeps
+// the probe log can draw every conclusion later that a live wiretap
+// draws now, so the three modes are one path that differs only at its
+// two ends:
+//
+//	source   -probe-store DIR: Replay every probe once, then stop
+//	         -follow DIR / -live DIR: Follow the store like tail -f,
+//	         history first, until SIGINT/SIGTERM (or -exit-idle)
+//	filter   -since/-until (RFC 3339 or "2006-01-02", UTC), [since, until)
+//	sinks    the stream pipeline (internal/stream): a re-identification
+//	         stage whenever there is an -index, plus a linkage stage
+//	         for -longitudinal or -live; the -correlator engine; the
+//	         per-probe printer of -follow; the distinct-cookie counter
+//	         of a bare -probe-store summary
+//	render   the final report, or for -live a rolling dashboard every
+//	         -refresh seconds and the final snapshot
+//
+// -index is a file of URLs (one per line) standing in for the
+// provider's web index. The pipeline's window is 0 days (everything,
+// the batch analyzers' semantics) except under -live, where it is
+// -window days. -snapshot-out writes the final pipeline snapshot's
+// canonical text in every mode, so a live run and a replay of the same
+// sealed store compare with a byte diff.
+//
+// Replay (-probe-store) prints the store's segments first; -client adds
+// one cookie's raw probe history, read through the per-segment
+// sidecars; -longitudinal (with -index) adds the day-over-day analysis:
+// per-day activity, cookie linkage across resets and the linked
+// identity chains. A campaign store replays into the identical report
+// the live run printed:
 //
 //	sbanalyze -probe-store /var/log/sb-probes -index urls.txt
 //	sbanalyze -probe-store /var/log/sb-probes -client victim-cookie
-//
-// -index is a file of URLs (one per line) standing in for the
-// provider's web index; -client prints one cookie's raw probe history
-// from the per-client index.
-//
-// -since/-until (RFC 3339 or "2006-01-02", UTC) restrict replay and
-// follow mode to a time window of the store — the provider analyzing
-// just one slice of its retained history. -longitudinal (with -index)
-// additionally runs the day-over-day analysis over the replayed
-// window: per-day activity, cookie linkage across resets, and the
-// linked identity chains. A campaign store written by
-// "experiments -campaign" replays into the identical report the live
-// run printed:
-//
 //	sbanalyze -probe-store /tmp/sb-campaign-X -index urls.txt -longitudinal
 //	sbanalyze -probe-store /tmp/sb-campaign-X -index urls.txt -since 2016-03-08 -until 2016-03-10
 //
-// -correlator RULES additionally runs the Section 6.3 temporal-
-// correlation engine over the replayed window: RULES is a file with one
-// rule per line, "NAME WINDOW URL [URL...]" (WINDOW is a Go duration;
-// URLs are canonicalized, bare "host/path" expressions pass as-is;
-// blank lines and #-comments are skipped). A rule fires when one client
-// queried every listed URL's prefix within the window — the paper's
-// "planning to submit a paper" inference:
+// -correlator RULES runs the Section 6.3 temporal-correlation engine
+// over the replayed window: RULES is a file with one rule per line,
+// "NAME WINDOW URL [URL...]" (WINDOW is a Go duration; URLs are
+// canonicalized, bare "host/path" expressions pass as-is; blank lines
+// and #-comments are skipped). A rule fires when one client queried
+// every listed URL's prefix within the window — the paper's "planning
+// to submit a paper" inference:
 //
 //	sbanalyze -probe-store /tmp/sb-campaign-X -correlator rules.txt -since 2016-03-08
 //
-// Follow mode (-follow) tails a live store directory like `tail -f`:
-// every probe already on disk is delivered first, then probes are
-// streamed as the serving process spills them, until SIGINT/SIGTERM
-// stops the tail cleanly. With -index the re-identification analysis
-// runs continuously and the report prints at stop — the live wiretap
-// and the retained log fused into one view:
+// Follow (-follow) prints every probe as it lands on disk; -client
+// restricts the lines to one cookie; -index scores the tail and prints
+// the report when it stops:
 //
 //	sbanalyze -follow /var/log/sb-probes -index urls.txt
 //	sbanalyze -follow /var/log/sb-probes -client victim-cookie
 //
-// -follow-poll tunes how often an idle tail re-checks the directory
-// (default 50ms); it applies to -follow and -live.
-//
-// Live dashboard mode (-live) tails a store directory another process
-// is writing — "experiments -campaign" mid-run, a serving sbserver —
-// through the windowed streaming pipeline of internal/stream and
-// redraws a rolling dashboard every -refresh seconds: per-window
-// re-identification rate, top linked identity chains, and the
-// eviction counters that bound resident state to the newest -window
-// days. The index defaults to DIR/index.urls (the campaign writes it
-// before its first probe). SIGINT, SIGTERM, or -exit-idle seconds of
-// feed silence stop the tail and print the final snapshot;
-// -snapshot-out writes that snapshot's canonical text to a file, and
-// the same flag in replay mode (-probe-store -index [-longitudinal])
-// writes the batch analyzers' reports in the identical layout, so
-// live-vs-batch equivalence on a sealed store is a byte diff:
+// Live (-live) tails a store another process is still writing and
+// redraws a dashboard: the window's re-identification rate, the top
+// linked identity chains, and the eviction counters that bound
+// resident state to the newest -window days. The index defaults to
+// DIR/index.urls (the campaign writes it before its first probe).
+// -exit-idle stops the tail once the feed has been silent that many
+// seconds:
 //
 //	sbanalyze -live /tmp/sb-campaign-X -window 7 -refresh 2
 //	sbanalyze -live /tmp/sb-campaign-X -exit-idle 5 -snapshot-out live.txt
 //	sbanalyze -probe-store /tmp/sb-campaign-X -index urls.txt -longitudinal -snapshot-out batch.txt
+//
+// A store delivers probes in spill order: FIFO per cookie, but not in
+// global time order. A windowed -live run therefore reports late drops
+// whenever a probe arrives after its day left the window; every such
+// probe lies outside the final window, so the final snapshot still
+// equals a replay restricted to that window. -follow-poll tunes how
+// often an idle tail re-checks the directory (default 50ms).
 package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"text/tabwriter"
 	"time"
 
 	"sbprivacy/internal/blacklist"
 	"sbprivacy/internal/core"
 	"sbprivacy/internal/probestore"
-	"sbprivacy/internal/sbserver"
 	"sbprivacy/internal/urlx"
 )
 
@@ -105,20 +108,20 @@ func run() int {
 		storeDir     = flag.String("probe-store", "", "replay a persisted probe log from this directory instead of auditing blacklists")
 		followDir    = flag.String("follow", "", "tail a live probe-store directory, streaming probes until SIGINT")
 		indexFile    = flag.String("index", "", "file of URLs (one per line) forming the provider's web index for re-identification")
-		client       = flag.String("client", "", "print the probe history of one client cookie (replay/follow mode)")
-		since        = flag.String("since", "", "ignore probes before this time (RFC 3339 or 2006-01-02, UTC; replay/follow mode)")
-		until        = flag.String("until", "", "ignore probes at or after this time (RFC 3339 or 2006-01-02, UTC; replay/follow mode)")
+		client       = flag.String("client", "", "print the probe history of one client cookie (-probe-store/-follow mode)")
+		since        = flag.String("since", "", "ignore probes before this time (RFC 3339 or 2006-01-02, UTC; every probe-store mode)")
+		until        = flag.String("until", "", "ignore probes at or after this time (RFC 3339 or 2006-01-02, UTC; every probe-store mode)")
 		liveDir      = flag.String("live", "", "rolling dashboard over a probe-store directory another process is writing (streaming pipeline; stop with SIGINT)")
 		windowDays   = flag.Int("window", 7, "live mode: sliding analysis window in days (0 = unbounded)")
 		refreshSecs  = flag.Int("refresh", 2, "live mode: dashboard refresh interval in seconds")
 		followPoll   = flag.Duration("follow-poll", probestore.DefaultFollowPoll, "idle poll interval of the store tail (follow/live mode)")
 		exitIdle     = flag.Int("exit-idle", 0, "live mode: exit once the feed has been idle this many seconds after at least one probe (0 = run until SIGINT)")
-		snapshotOut  = flag.String("snapshot-out", "", "write the canonical final-snapshot text to this file (live mode, or replay mode with -index)")
+		snapshotOut  = flag.String("snapshot-out", "", "write the canonical final-snapshot text to this file (any probe-store mode with an index)")
 		longitudinal = flag.Bool("longitudinal", false, "also run the day-over-day cookie-linkage analysis (needs -index; replay mode)")
 		correlator   = flag.String("correlator", "", "rules file for the temporal-correlation analysis over the replayed window (replay mode; see the package comment for the line format)")
-		minShared    = flag.Int("min-shared", 0, "longitudinal: least shared profile elements per link (0 = default)")
-		minSharedURL = flag.Int("min-shared-urls", 0, "longitudinal: least shared exact URLs per link (0 = default, negative allows none)")
-		minLinkScore = flag.Float64("min-link-score", 0, "longitudinal: least overlap-coefficient score per link (0 = default)")
+		minShared    = flag.Int("min-shared", 0, "linkage (-longitudinal, -live): least shared profile elements per link (0 = default)")
+		minSharedURL = flag.Int("min-shared-urls", 0, "linkage (-longitudinal, -live): least shared exact URLs per link (0 = default, negative allows none)")
+		minLinkScore = flag.Float64("min-link-score", 0, "linkage (-longitudinal, -live): least overlap-coefficient score per link (0 = default)")
 	)
 	flag.Parse()
 
@@ -149,24 +152,40 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "sbanalyze: -correlator needs -probe-store")
 		return 2
 	}
-	if *liveDir != "" {
-		return runLive(*liveDir, *indexFile, *windowDays,
-			time.Duration(*refreshSecs)*time.Second, *followPoll,
-			*snapshotOut, time.Duration(*exitIdle)*time.Second)
+	if *client != "" && *liveDir != "" {
+		fmt.Fprintln(os.Stderr, "sbanalyze: -client applies to -probe-store or -follow mode")
+		return 2
 	}
-	if *followDir != "" {
-		return runFollow(*followDir, *indexFile, *client, window, *followPoll)
-	}
-	if *storeDir != "" {
-		linkage := core.LongitudinalConfig{
+	f := feed{
+		window:         window,
+		indexFile:      *indexFile,
+		client:         *client,
+		longitudinal:   *longitudinal,
+		correlatorFile: *correlator,
+		snapshotOut:    *snapshotOut,
+		linkage: core.LongitudinalConfig{
 			MinShared:     *minShared,
 			MinSharedURLs: *minSharedURL,
 			MinLinkScore:  *minLinkScore,
-		}
-		return runReplay(*storeDir, *indexFile, *client, window, *longitudinal, linkage, *correlator, *snapshotOut)
+		},
+		windowDays: *windowDays,
+		refresh:    time.Duration(*refreshSecs) * time.Second,
+		poll:       *followPoll,
+		exitIdle:   time.Duration(*exitIdle) * time.Second,
+	}
+	switch {
+	case *storeDir != "":
+		f.dir, f.mode = *storeDir, replayMode
+	case *followDir != "":
+		f.dir, f.mode = *followDir, followMode
+	case *liveDir != "":
+		f.dir, f.mode = *liveDir, liveMode
+	}
+	if f.dir != "" {
+		return analyze(f)
 	}
 	if *since != "" || *until != "" {
-		fmt.Fprintln(os.Stderr, "sbanalyze: -since/-until apply to -probe-store or -follow mode")
+		fmt.Fprintln(os.Stderr, "sbanalyze: -since/-until apply to -probe-store, -follow or -live mode")
 		return 2
 	}
 
@@ -287,169 +306,6 @@ func parseWindow(since, until string) (func(time.Time) bool, error) {
 	}, nil
 }
 
-// runReplay is the -probe-store mode: open the log read-only, print the
-// store's shape, then run the re-identification analysis (with -index,
-// plus the day-over-day linkage with -longitudinal), dump one client's
-// history (with -client), and/or run the temporal-correlation rules of
-// a -correlator file. Only probes inside the -since/-until window are
-// analyzed.
-func runReplay(dir, indexFile, client string, window func(time.Time) bool, longitudinal bool, linkage core.LongitudinalConfig, correlatorFile, snapshotOut string) int {
-	// Load the correlation rules before touching the store, so a bad
-	// rules file fails fast; the correlator then rides along whichever
-	// replay pass runs anyway instead of streaming the store twice.
-	var corrRules []core.CorrelationRule
-	var corr *core.Correlator
-	if correlatorFile != "" {
-		var err error
-		corrRules, err = loadRules(correlatorFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: load rules %s: %v\n", correlatorFile, err)
-			return 1
-		}
-		corr = core.NewCorrelator(corrRules...)
-	}
-
-	store, err := probestore.Open(dir, probestore.ReadOnly())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbanalyze: %v\n", err)
-		return 1
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	defer w.Flush() //nolint:errcheck // stdout flush at exit
-
-	fmt.Fprintf(w, "== probe store %s ==\n", dir)
-	fmt.Fprintln(w, "segment\trecords\tbytes")
-	var records int
-	for _, seg := range store.Segments() {
-		fmt.Fprintf(w, "%08d\t%d\t%d\n", seg.ID, seg.Records, seg.Bytes)
-		records += seg.Records
-	}
-	fmt.Fprintf(w, "total\t%d\t\n", records)
-
-	if client != "" {
-		// ClientHistory consults the per-segment bloom sidecars, so the
-		// query opens only segments that may contain the cookie instead
-		// of streaming the whole store.
-		history, err := store.ClientHistory(client)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: %v\n", err)
-			return 1
-		}
-		kept := history[:0]
-		for _, p := range history {
-			if window(p.Time) {
-				kept = append(kept, p)
-			}
-		}
-		fmt.Fprintf(w, "\n== history of client %q (%d probes) ==\n", client, len(kept))
-		fmt.Fprintln(w, "time\tprefixes")
-		for _, p := range kept {
-			fmt.Fprintf(w, "%s\t%v\n", p.Time.UTC().Format("2006-01-02T15:04:05.000Z"), p.Prefixes)
-		}
-	}
-
-	corrFed := false
-	if indexFile != "" {
-		index, n, err := loadIndex(indexFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: load index %s: %v\n", indexFile, err)
-			return 1
-		}
-		analyzer := core.NewAnalyzer(index)
-		var long *core.Longitudinal
-		if longitudinal {
-			long = core.NewLongitudinal(index, linkage)
-		}
-		if err := store.Replay(func(p sbserver.Probe) error {
-			if !window(p.Time) {
-				return nil
-			}
-			analyzer.Observe(p)
-			if long != nil {
-				long.Observe(p)
-			}
-			if corr != nil {
-				corr.Observe(p)
-			}
-			return nil
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: replay: %v\n", err)
-			return 1
-		}
-		corrFed = corr != nil
-		rep := analyzer.Report()
-		fmt.Fprintf(w, "\n== re-identification over %d indexed URLs (%d clients) ==\n", n, len(rep.Clients))
-		w.Flush() //nolint:errcheck // interleave report after table
-		fmt.Print(rep)
-		var longRep *core.LongitudinalReport
-		if long != nil {
-			longRep = long.Report()
-			fmt.Printf("\n== day-over-day longitudinal analysis ==\n")
-			fmt.Print(longRep)
-		}
-		if snapshotOut != "" {
-			// The canonical snapshot text mirrors what -live writes for its
-			// final pipeline snapshot, section for section, so a live run
-			// and a batch replay of the same sealed store are comparable
-			// with a plain byte diff.
-			var b strings.Builder
-			writeSnapshotSection(&b, "reident", rep)
-			if longRep != nil {
-				writeSnapshotSection(&b, "linkage", longRep)
-			}
-			if err := os.WriteFile(snapshotOut, []byte(b.String()), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "sbanalyze: write snapshot: %v\n", err)
-				return 1
-			}
-		}
-	} else if client == "" {
-		// Summary-only run: count distinct cookies in one streaming
-		// pass rather than forcing the store to build its full index.
-		seen := make(map[string]struct{})
-		if err := store.Replay(func(p sbserver.Probe) error {
-			if window(p.Time) {
-				seen[p.ClientID] = struct{}{}
-				if corr != nil {
-					corr.Observe(p)
-				}
-			}
-			return nil
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: replay: %v\n", err)
-			return 1
-		}
-		corrFed = corr != nil
-		fmt.Fprintf(w, "distinct clients\t%d\t\n", len(seen))
-		fmt.Fprintln(w, "\n(pass -index urls.txt to run the re-identification analysis,")
-		fmt.Fprintln(w, " or -client COOKIE to dump one client's history)")
-	}
-
-	if corr != nil {
-		// Only a -client-only run reaches here without a full replay
-		// having fed the correlator (ClientHistory streams one cookie).
-		if !corrFed {
-			if err := store.Replay(func(p sbserver.Probe) error {
-				if window(p.Time) {
-					corr.Observe(p)
-				}
-				return nil
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "sbanalyze: replay: %v\n", err)
-				return 1
-			}
-		}
-		events := corr.Events()
-		fmt.Fprintf(w, "\n== temporal correlation (%d rules, %d events) ==\n", len(corrRules), len(events))
-		fmt.Fprintln(w, "rule\tclient\tfirst\tlast")
-		for _, e := range events {
-			fmt.Fprintf(w, "%s\t%s\t%s\t%s\n", e.Rule, e.ClientID,
-				e.First.UTC().Format("2006-01-02T15:04:05Z"),
-				e.Last.UTC().Format("2006-01-02T15:04:05Z"))
-		}
-	}
-	return 0
-}
-
 // loadRules reads a correlation-rules file: one rule per line in the
 // form "NAME WINDOW URL [URL...]", where WINDOW is a Go duration
 // ("15m", "2h"). Blank lines and #-comments are skipped.
@@ -497,68 +353,6 @@ func loadRules(path string) ([]core.CorrelationRule, error) {
 		return nil, fmt.Errorf("no rules found")
 	}
 	return rules, nil
-}
-
-// runFollow is the -follow mode: open the live store read-only and
-// tail it until a signal. Without -index or -client every probe is
-// printed as it lands on disk; -client restricts the stream to one
-// cookie; -index feeds the re-identification analyzer continuously and
-// prints its report when the tail stops. Probes outside the
-// -since/-until window are skipped.
-func runFollow(dir, indexFile, client string, window func(time.Time) bool, poll time.Duration) int {
-	store, err := probestore.Open(dir, probestore.ReadOnly())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbanalyze: %v\n", err)
-		return 1
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	var analyzer *core.Analyzer
-	if indexFile != "" {
-		index, n, err := loadIndex(indexFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sbanalyze: load index %s: %v\n", indexFile, err)
-			return 1
-		}
-		analyzer = core.NewAnalyzer(index)
-		fmt.Fprintf(os.Stderr, "sbanalyze: following %s with a %d-URL index; stop with SIGINT\n", dir, n)
-	} else {
-		fmt.Fprintf(os.Stderr, "sbanalyze: following %s; stop with SIGINT\n", dir)
-	}
-
-	probes := 0
-	err = store.Follow(ctx, func(p sbserver.Probe) error {
-		if !window(p.Time) {
-			return nil
-		}
-		probes++
-		if analyzer != nil {
-			analyzer.Observe(p)
-		}
-		// Per-probe lines stream for a plain tail and for a -client
-		// watch (which composes with -index, like replay mode); an
-		// -index-only run stays quiet until the report.
-		if client != "" && p.ClientID != client {
-			return nil
-		}
-		if analyzer == nil || client != "" {
-			fmt.Printf("%s\t%s\t%v\n",
-				p.Time.UTC().Format("2006-01-02T15:04:05.000Z"), p.ClientID, p.Prefixes)
-		}
-		return nil
-	}, probestore.WithFollowPoll(poll))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sbanalyze: follow: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "sbanalyze: tail stopped after %d probes\n", probes)
-	if analyzer != nil {
-		rep := analyzer.Report()
-		fmt.Printf("\n== re-identification over the followed stream (%d clients) ==\n", len(rep.Clients))
-		fmt.Print(rep)
-	}
-	return 0
 }
 
 // loadIndex reads a URL-per-line file into the provider's web index.

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"sbprivacy/internal/core"
 	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/probestore"
 	"sbprivacy/internal/sbserver"
@@ -145,7 +144,7 @@ func TestCorrelatorReplay(t *testing.T) {
 			t.Fatalf("Pipe: %v", err)
 		}
 		os.Stdout = w
-		rc := runReplay(dir, "", "", window, false, core.LongitudinalConfig{}, rules, "")
+		rc := analyze(feed{dir: dir, window: window, correlatorFile: rules})
 		w.Close() //nolint:errcheck // test pipe
 		os.Stdout = old
 		out, err := io.ReadAll(r)
@@ -153,7 +152,7 @@ func TestCorrelatorReplay(t *testing.T) {
 			t.Fatalf("ReadAll: %v", err)
 		}
 		if rc != 0 {
-			t.Fatalf("runReplay = %d, output:\n%s", rc, out)
+			t.Fatalf("analyze = %d, output:\n%s", rc, out)
 		}
 		return string(out)
 	}

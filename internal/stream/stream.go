@@ -20,8 +20,18 @@
 // A Pipeline fans one probe feed into N stages and implements
 // sbserver.ProbeSink, so the same pipeline is drivable from three
 // sources: subscribed live to a serving sbserver, batch over a sealed
-// store via Replay, or tailing a live store via Follow. The
-// correctness anchor: on a sealed store, a streaming pipeline's final
+// store via Replay, or tailing a live store via Follow (cmd/sbanalyze
+// drives its replay, follow and live modes through one such path:
+// source, -since/-until filter, pipeline plus plain sinks, renderer).
+//
+// A store feed comes in spill order: FIFO per cookie, but not in
+// global time order, so the watermark can run ahead of a later-arriving
+// probe from another cookie. A windowed stage over a store therefore
+// reports LateDropped > 0. Every dropped probe's day is older than the
+// final horizon (the watermark only rises), so the final snapshot still
+// equals a batch run over exactly the final window's probes.
+//
+// The correctness anchor: on a sealed store, a streaming pipeline's final
 // snapshot deep-equals the batch analyzers' reports over the same
 // window — the scoring cores (core.ClientTally, core.DayTally,
 // core.BuildClientReport, core.BuildLongitudinalReport) are shared, so
@@ -52,8 +62,8 @@ type Stats struct {
 	Observed int64
 	// LateDropped counts probes rejected on arrival because their day
 	// had already been evicted (older than the window horizon at the
-	// time they arrived). A serialized feed in virtual-time order never
-	// drops anything.
+	// time they arrived). A feed in virtual-time order never drops
+	// anything; a store feed (spill order) can.
 	LateDropped int64
 	// ResidentCookies is the number of distinct client cookies with at
 	// least one resident day tally.
@@ -71,7 +81,8 @@ type Stats struct {
 // feeding goroutine while Snapshot/Stats are called from a dashboard.
 // Deterministic snapshots additionally require a serialized feed (a
 // campaign run, a Replay, or a Follow tail — all of which deliver
-// probes one at a time in stored order).
+// probes one at a time in stored order, which for a store is spill
+// order rather than time order).
 type Stage interface {
 	// Name identifies the stage in dashboards and snapshots.
 	Name() string

@@ -51,7 +51,6 @@ import (
 
 	"sbprivacy/internal/loadrig"
 	"sbprivacy/internal/prefixtable"
-	"sbprivacy/internal/stream"
 )
 
 // defaultPackages are the packages whose exported API must be fully
@@ -263,16 +262,6 @@ func checkBenchReport(path, baseline string) int {
 		last := rep.Results[len(rep.Results)-1]
 		fmt.Printf("doccheck: %s ok (%s: %d sizes, %.2fx hit speedup at %d prefixes)\n",
 			path, rep.Schema, len(rep.Results), last.SpeedupHit, last.Prefixes)
-		return 0
-	case stream.BenchSchema:
-		rep, err := stream.ReadBenchFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: bench %s: %v\n", path, err)
-			return 1
-		}
-		fmt.Printf("doccheck: %s ok (%s: %d probes, %.0f probes/s, peak %d cookies / %d days resident)\n",
-			path, rep.Schema, rep.Probes, rep.ProbesPerSec,
-			rep.PeakResidentCookies, rep.PeakResidentDays)
 		return 0
 	default:
 		fmt.Fprintf(os.Stderr, "doccheck: bench %s: unknown schema %q\n", path, schema)

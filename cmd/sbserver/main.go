@@ -156,11 +156,7 @@ func run() int {
 		log.Printf("admission limits: rate=%g/s burst=%d max-inflight=%d",
 			*rateLimit, *rateBurst, *maxInflight)
 	}
-	httpServer := &http.Server{
-		Addr:              *addr,
-		Handler:           sbserver.Handler(u.Server, handlerOpts...),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	httpServer := newHTTPServer(*addr, sbserver.Handler(u.Server, handlerOpts...))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -201,6 +197,31 @@ func run() int {
 			st.Persisted, st.Segments, st.LiveBytes, st.EvictedRecords, st.Dropped, st.WriteErrors)
 	}
 	return exit
+}
+
+// Connection time bounds. Every request body is capped in size by the
+// handlers; these cap it in time, so a client that trickles a body (or
+// never reads its answer) cannot hold a connection and a -max-inflight
+// slot indefinitely. The largest request body is about 130 KiB and
+// the largest answer, a fresh client's download, a few MiB.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the server for h on addr, with the connection
+// time bounds above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // loadURLs streams a URL file into the server in batches via AddURLs.

@@ -1,8 +1,6 @@
 package sbclient
 
 import (
-	"io"
-
 	"sbprivacy/internal/hashx"
 	"sbprivacy/internal/urlx"
 	"sbprivacy/internal/wire"
@@ -127,25 +125,4 @@ func buildQuery(canonical string, exprOf map[hashx.Prefix]string, toQuery []hash
 		q.Prefixes[rootIdx].Root = true
 	}
 	return q
-}
-
-// countingWriter tallies the bytes a wire encoder produces, so Stats
-// can report the exact on-the-wire cost of each request without a
-// transport round trip.
-type countingWriter struct{ n int }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}
-
-var _ io.Writer = (*countingWriter)(nil)
-
-// requestWireBytes returns the encoded size of a full-hash request.
-func requestWireBytes(req *wire.FullHashRequest) int {
-	var cw countingWriter
-	if err := req.Encode(&cw); err != nil {
-		return 0 // encoding into a counter cannot fail for a valid request
-	}
-	return cw.n
 }

@@ -380,9 +380,9 @@ func (c *Client) CheckURL(ctx context.Context, rawURL string) (*Verdict, error) 
 					resolved[p] = struct{}{}
 				}
 			}
-			// Encode sizing and the TTL clock read stay outside the
+			// Request sizing and the TTL clock read stay outside the
 			// lock: both call out of the package (lockscope).
-			reqBytes := requestWireBytes(req)
+			reqBytes := req.EncodedSize()
 			ttl := time.Duration(resp.CacheSeconds) * time.Second
 			expiresAt := c.now().Add(ttl)
 			fresh := make(map[hashx.Prefix][]wire.FullHashEntry, len(real))

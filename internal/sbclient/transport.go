@@ -85,12 +85,11 @@ func (t HTTPTransport) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (t HTTPTransport) post(ctx context.Context, path string, encode func(io.Writer) error) (io.ReadCloser, error) {
-	var body bytes.Buffer
-	if err := encode(&body); err != nil {
-		return nil, fmt.Errorf("sbclient: encode request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.BaseURL+path, &body)
+// post sends body to path and returns the body of a 200 response.
+// net/http may read body until the returned ReadCloser is closed; after
+// an error it may still hold it, so the caller must not reuse it then.
+func (t HTTPTransport) post(ctx context.Context, path string, body []byte) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, t.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("sbclient: build request: %w", err)
 	}
@@ -112,6 +111,35 @@ func (t HTTPTransport) post(ctx context.Context, path string, encode func(io.Wri
 	return resp.Body, nil
 }
 
+// binaryAppender is the encoding.BinaryAppender method set, which the
+// full-hash messages implement.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// postMessage encodes m into a pooled wire buffer, posts it to path and
+// decodes the 200 response with decode. net/http may read the request
+// body until the response body is closed, so the buffer goes back to
+// the pool only after that; after a failed round trip it is left to
+// the collector.
+func postMessage[T any](ctx context.Context, t HTTPTransport, path string, m binaryAppender, decode func(io.Reader) (T, error)) (T, error) {
+	var zero T
+	bp := wire.GetBuffer()
+	var err error
+	if *bp, err = m.AppendBinary(*bp); err != nil {
+		wire.PutBuffer(bp)
+		return zero, fmt.Errorf("sbclient: encode request: %w", err)
+	}
+	body, err := t.post(ctx, path, *bp)
+	if err != nil {
+		return zero, err
+	}
+	out, err := decode(body)
+	body.Close() //nolint:errcheck // read-side close
+	wire.PutBuffer(bp)
+	return out, err
+}
+
 // parseRetryAfter parses the delay-seconds form of a Retry-After header.
 // HTTP-date form and garbage both yield zero: the retry layer then falls
 // back to its own backoff schedule.
@@ -126,9 +154,15 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// Download implements Transport.
+// Download implements Transport. Download requests stream through
+// the wire writer rather than a pooled buffer: they are rare, and their
+// responses can be megabytes.
 func (t HTTPTransport) Download(ctx context.Context, req *wire.DownloadRequest) (*wire.DownloadResponse, error) {
-	body, err := t.post(ctx, sbserver.PathDownloads, req.Encode)
+	var buf bytes.Buffer
+	if err := req.Encode(&buf); err != nil {
+		return nil, fmt.Errorf("sbclient: encode request: %w", err)
+	}
+	body, err := t.post(ctx, sbserver.PathDownloads, buf.Bytes())
 	if err != nil {
 		return nil, err
 	}
@@ -136,14 +170,11 @@ func (t HTTPTransport) Download(ctx context.Context, req *wire.DownloadRequest) 
 	return wire.DecodeDownloadResponse(body)
 }
 
-// FullHashes implements Transport.
+// FullHashes implements Transport. The request is encoded into a pooled
+// buffer, and nothing of req is kept after the call returns; the
+// response is freshly allocated and owned by the caller.
 func (t HTTPTransport) FullHashes(ctx context.Context, req *wire.FullHashRequest) (*wire.FullHashResponse, error) {
-	body, err := t.post(ctx, sbserver.PathFullHash, req.Encode)
-	if err != nil {
-		return nil, err
-	}
-	defer body.Close() //nolint:errcheck // read-side close
-	return wire.DecodeFullHashResponse(body)
+	return postMessage(ctx, t, sbserver.PathFullHash, req, wire.DecodeFullHashResponse)
 }
 
 // FullHashesBatch issues several full-hash requests against the
@@ -161,12 +192,7 @@ func (t HTTPTransport) FullHashesBatch(ctx context.Context, reqs []*wire.FullHas
 		for i, req := range frame {
 			batch.Requests[i] = *req
 		}
-		body, err := t.post(ctx, sbserver.PathFullHashBatch, batch.Encode)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := wire.DecodeFullHashBatchResponse(body)
-		body.Close() //nolint:errcheck // read-side close
+		resp, err := postMessage(ctx, t, sbserver.PathFullHashBatch, &batch, wire.DecodeFullHashBatchResponse)
 		if err != nil {
 			return nil, err
 		}

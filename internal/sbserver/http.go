@@ -4,6 +4,8 @@ import (
 	"errors"
 	"log"
 	"net/http"
+	"strconv"
+	"sync"
 
 	"sbprivacy/internal/wire"
 )
@@ -77,20 +79,17 @@ func Handler(s *Server, opts ...HandlerOption) http.Handler {
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, wire.MaxFullHashRequestWireBytes)
-		req, err := wire.DecodeFullHashRequest(r.Body)
-		if err != nil {
+		x := exchangePool.Get().(*exchange)
+		defer exchangePool.Put(x)
+		if err := wire.DecodeFullHashRequestInto(r.Body, &x.req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		resp, err := s.FullHashes(req)
-		if err != nil {
+		if err := s.fullHashes(&x.req, &x.resp); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := resp.Encode(w); err != nil {
-			log.Printf("sbserver: encode fullhash response: %v", err)
-		}
+		writeMessage(w, &x.resp, "fullhash")
 	})
 	mux.HandleFunc(PathFullHashBatch, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -98,31 +97,60 @@ func Handler(s *Server, opts ...HandlerOption) http.Handler {
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, wire.MaxFullHashBatchRequestWireBytes)
-		batch, err := wire.DecodeFullHashBatchRequest(r.Body)
-		if err != nil {
+		x := exchangePool.Get().(*exchange)
+		defer exchangePool.Put(x)
+		if err := wire.DecodeFullHashBatchRequestInto(r.Body, &x.batch); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		reqs := make([]*wire.FullHashRequest, len(batch.Requests))
-		for i := range batch.Requests {
-			reqs[i] = &batch.Requests[i]
+		n := len(x.batch.Requests)
+		if cap(x.out.Responses) < n {
+			x.out.Responses = make([]wire.FullHashResponse, n)
 		}
-		resps, err := s.FullHashesBatch(reqs)
-		if err != nil {
+		x.out.Responses = x.out.Responses[:n]
+		if err := s.fullHashesBatch(x.batch.Requests, x.out.Responses); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		out := wire.FullHashBatchResponse{Responses: make([]wire.FullHashResponse, len(resps))}
-		for i, resp := range resps {
-			out.Responses[i] = *resp
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := out.Encode(w); err != nil {
-			log.Printf("sbserver: encode fullhash batch response: %v", err)
-		}
+		writeMessage(w, &x.out, "fullhash batch")
 	})
 	if cfg.limiter != nil {
 		return cfg.limiter.Wrap(mux)
 	}
 	return mux
+}
+
+// exchange is the pooled state of one full-hash handler call: the
+// decoded request and the response. Nothing in it outlives the call:
+// fullHashes gives the recorded probe its own copy of the prefixes,
+// and the response is encoded and written before the exchange returns
+// to the pool.
+type exchange struct {
+	req   wire.FullHashRequest
+	resp  wire.FullHashResponse
+	batch wire.FullHashBatchRequest
+	out   wire.FullHashBatchResponse
+}
+
+var exchangePool = sync.Pool{New: func() any { return new(exchange) }}
+
+// writeMessage append-encodes m into a pooled wire buffer and sends it
+// as the whole response body, in one Write with an explicit
+// Content-Length.
+func writeMessage(w http.ResponseWriter, m interface {
+	AppendBinary([]byte) ([]byte, error)
+}, what string) {
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	var err error
+	if *bp, err = m.AppendBinary(*bp); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(*bp)))
+	if _, err := w.Write(*bp); err != nil {
+		log.Printf("sbserver: write %s response: %v", what, err)
+	}
 }

@@ -442,25 +442,35 @@ func (s *Server) Download(req *wire.DownloadRequest) (*wire.DownloadResponse, er
 // from the retained log, the opposite of the paper's provider vantage:
 // whatever is answered must be what every sink observes.
 func (s *Server) FullHashes(req *wire.FullHashRequest) (*wire.FullHashResponse, error) {
-	if err := validateFullHashRequest(req); err != nil {
+	resp := &wire.FullHashResponse{Entries: make([]wire.FullHashEntry, 0, len(req.Prefixes))}
+	if err := s.fullHashes(req, resp); err != nil {
 		return nil, err
+	}
+	if len(resp.Entries) == 0 {
+		resp.Entries = nil
+	}
+	return resp, nil
+}
+
+// fullHashes serves req into resp, reusing the capacity of
+// resp.Entries, so the HTTP handlers can fill pooled responses. The
+// recorded probe owns its prefixes: req may be reused as soon as this
+// returns.
+func (s *Server) fullHashes(req *wire.FullHashRequest, resp *wire.FullHashResponse) error {
+	if err := validateFullHashRequest(req); err != nil {
+		return err
 	}
 	s.probes.record(Probe{
 		Time:     s.now(),
 		ClientID: req.ClientID,
 		Prefixes: append([]hashx.Prefix(nil), req.Prefixes...),
 	})
-	resp := &wire.FullHashResponse{
-		CacheSeconds: s.cacheSeconds,
-		Entries:      make([]wire.FullHashEntry, 0, len(req.Prefixes)),
-	}
+	resp.CacheSeconds = s.cacheSeconds
+	resp.Entries = resp.Entries[:0]
 	for _, p := range req.Prefixes {
 		resp.Entries = s.idx.lookup(p, resp.Entries)
 	}
-	if len(resp.Entries) == 0 {
-		resp.Entries = nil
-	}
-	return resp, nil
+	return nil
 }
 
 // validateFullHashRequest enforces the wire-protocol limits on a
@@ -488,20 +498,38 @@ func validateFullHashRequest(req *wire.FullHashRequest) error {
 // partial failure can never leave probes in the log for answers the
 // caller never received.
 func (s *Server) FullHashesBatch(reqs []*wire.FullHashRequest) ([]*wire.FullHashResponse, error) {
-	for _, req := range reqs {
-		if err := validateFullHashRequest(req); err != nil {
-			return nil, err
-		}
-	}
-	resps := make([]*wire.FullHashResponse, len(reqs))
+	batch := make([]wire.FullHashRequest, len(reqs))
 	for i, req := range reqs {
-		resp, err := s.FullHashes(req)
-		if err != nil {
-			return nil, err
+		batch[i] = *req
+	}
+	out := make([]wire.FullHashResponse, len(reqs))
+	if err := s.fullHashesBatch(batch, out); err != nil {
+		return nil, err
+	}
+	resps := make([]*wire.FullHashResponse, len(out))
+	for i := range out {
+		if len(out[i].Entries) == 0 {
+			out[i].Entries = nil
 		}
-		resps[i] = resp
+		resps[i] = &out[i]
 	}
 	return resps, nil
+}
+
+// fullHashesBatch validates every request, then serves reqs[i] into
+// resps[i] through fullHashes.
+func (s *Server) fullHashesBatch(reqs []wire.FullHashRequest, resps []wire.FullHashResponse) error {
+	for i := range reqs {
+		if err := validateFullHashRequest(&reqs[i]); err != nil {
+			return err
+		}
+	}
+	for i := range reqs {
+		if err := s.fullHashes(&reqs[i], &resps[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Subscribe registers a probe sink; every subsequent full-hash request is

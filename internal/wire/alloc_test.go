@@ -101,3 +101,85 @@ func TestWireDecodeRoundTripAfterScratch(t *testing.T) {
 		}
 	}
 }
+
+// fullHashFixtures returns a two-prefix request and a two-entry
+// response, the shape of one browser lookup.
+func fullHashFixtures() (*FullHashRequest, *FullHashResponse) {
+	req := &FullHashRequest{
+		ClientID: "cookie-0123456789",
+		Prefixes: []hashx.Prefix{0xe70ee6d1, 0x33a02ef5},
+	}
+	resp := &FullHashResponse{
+		CacheSeconds: 300,
+		Entries: []FullHashEntry{
+			{List: "goog-malware-shavar", Digest: hashx.Sum("evil.example/")},
+			{List: "googpub-phish-shavar", Digest: hashx.Sum("phish.example/")},
+		},
+	}
+	return req, resp
+}
+
+// TestFullHashCodecAllocs pins the full-hash round trip's codec
+// allocations at their measured counts (measured-or-better, like
+// TestWireHotPathAllocs):
+//   - AppendBinary into a presized buffer allocates nothing;
+//   - DecodeFullHashResponse allocates its result, its entries and one
+//     string per entry's list name, and nothing for the pooled reader;
+//   - decoding a request into a reused struct allocates only the
+//     client id string.
+func TestFullHashCodecAllocs(t *testing.T) {
+	req, resp := fullHashFixtures()
+	buf := make([]byte, 0, 1024)
+
+	appendGates := []struct {
+		name string
+		m    binaryAppender
+	}{
+		{"FullHashRequest", req},
+		{"FullHashResponse", resp},
+		{"FullHashBatchRequest", &FullHashBatchRequest{Requests: []FullHashRequest{*req, *req}}},
+		{"FullHashBatchResponse", &FullHashBatchResponse{Responses: []FullHashResponse{*resp, *resp}}},
+	}
+	for _, g := range appendGates {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := g.m.AppendBinary(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s.AppendBinary: %v allocs/op, want 0", g.name, allocs)
+		}
+	}
+
+	encResp, err := resp.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src bytes.Reader
+	// result + entries + one list string per entry
+	wantResp := float64(2 + len(resp.Entries))
+	allocs := testing.AllocsPerRun(1000, func() {
+		src.Reset(encResp)
+		if _, err := DecodeFullHashResponse(&src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > wantResp {
+		t.Errorf("DecodeFullHashResponse: %v allocs/op, want <= %v", allocs, wantResp)
+	}
+
+	encReq, err := req.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var into FullHashRequest
+	allocs = testing.AllocsPerRun(1000, func() {
+		src.Reset(encReq)
+		if err := DecodeFullHashRequestInto(&src, &into); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("DecodeFullHashRequestInto (reused struct): %v allocs/op, want <= 1 (the client id)", allocs)
+	}
+}

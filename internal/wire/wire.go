@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"sbprivacy/internal/hashx"
 )
@@ -208,11 +209,47 @@ func (e *writer) prefix(p hashx.Prefix) {
 
 type reader struct {
 	r *bufio.Reader
+	// own is the reader's pooled 4 KiB buffer, reset onto the source of
+	// each decode; r points at it unless the caller handed in a
+	// *bufio.Reader of its own.
+	own *bufio.Reader
 	// scratch backs the fixed-size reads (header, prefix, digest); a
 	// struct field sliced into io.ReadFull does not escape the way a
 	// local array does, keeping the per-record decodes allocation-free
 	// (see TestWireHotPathAllocs). Sized for the largest fixed field.
 	scratch [hashx.DigestSize]byte
+}
+
+// readerPool recycles decoders with their buffers, so a decode of a
+// message of a few dozen bytes does not build a fresh 4 KiB
+// bufio.Reader.
+var readerPool = sync.Pool{New: func() any {
+	return &reader{own: bufio.NewReaderSize(nil, readerBufSize)}
+}}
+
+// readerBufSize is the pooled read buffer's size; it must hold the
+// longest string field, which str reads in one Peek.
+const readerBufSize = 4096
+
+// newReader takes a decoder from the pool and points it at r. A
+// *bufio.Reader is used as is, so a caller reading several messages
+// from one stream loses no buffered bytes. Call release when done.
+func newReader(r io.Reader) *reader {
+	d := readerPool.Get().(*reader)
+	if br, ok := r.(*bufio.Reader); ok {
+		d.r = br
+	} else {
+		d.own.Reset(r)
+		d.r = d.own
+	}
+	return d
+}
+
+// release returns d to the pool, dropping its reference to the source.
+func (d *reader) release() {
+	d.own.Reset(nil)
+	d.r = nil
+	readerPool.Put(d)
 }
 
 func (d *reader) header(want MsgType) error {
@@ -242,16 +279,37 @@ func (d *reader) uvarint(limit uint64, what string) (uint64, error) {
 	return v, nil
 }
 
+// str reads a length-prefixed string. The bytes are converted straight
+// out of the read buffer, so the string is the only allocation; a
+// caller's bufio.Reader too small to hold the string falls back to a
+// copy.
 func (d *reader) str(what string) (string, error) {
-	n, err := d.uvarint(maxStringLen, what+" length")
+	// The length is read here rather than through uvarint so the error
+	// label is only built on failure.
+	n, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("wire: read %s length: %w", what, err)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
+	if n > maxStringLen {
+		return "", fmt.Errorf("%w: %s length = %d > %d", ErrTooLarge, what, n, maxStringLen)
+	}
+	if int(n) > d.r.Size() {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(d.r, buf); err != nil {
+			return "", fmt.Errorf("wire: read %s: %w", what, err)
+		}
+		return string(buf), nil
+	}
+	b, err := d.r.Peek(int(n))
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return "", fmt.Errorf("wire: read %s: %w", what, err)
 	}
-	return string(buf), nil
+	s := string(b)
+	d.r.Discard(len(b)) //nolint:errcheck // the bytes were just peeked
+	return s, nil
 }
 
 //sbcheck:hotpath
@@ -287,7 +345,8 @@ func (m *DownloadRequest) Encode(w io.Writer) error {
 
 // DecodeDownloadRequest reads a DownloadRequest from r.
 func DecodeDownloadRequest(r io.Reader) (*DownloadRequest, error) {
-	d := &reader{r: bufio.NewReader(r)}
+	d := newReader(r)
+	defer d.release()
 	if err := d.header(MsgDownloadRequest); err != nil {
 		return nil, err
 	}
@@ -334,7 +393,8 @@ func (m *DownloadResponse) Encode(w io.Writer) error {
 
 // DecodeDownloadResponse reads a DownloadResponse from r.
 func DecodeDownloadResponse(r io.Reader) (*DownloadResponse, error) {
-	d := &reader{r: bufio.NewReader(r)}
+	d := newReader(r)
+	defer d.release()
 	if err := d.header(MsgDownloadResponse); err != nil {
 		return nil, err
 	}
@@ -381,16 +441,111 @@ func DecodeDownloadResponse(r io.Reader) (*DownloadResponse, error) {
 	return m, nil
 }
 
-// fullHashRequestBody writes the header-less request fields.
-func (e *writer) fullHashRequestBody(m *FullHashRequest) {
-	e.str(m.ClientID)
-	e.uvarint(uint64(len(m.Prefixes)))
-	for _, p := range m.Prefixes {
-		e.prefix(p)
-	}
+// The full-hash messages are a few dozen bytes each, so they encode by
+// appending to one buffer (AppendBinary, the encoding.BinaryAppender
+// shape) instead of streaming field by field through a writer; Encode
+// is one Write of that buffer. The download messages keep the
+// streaming writer, because a sync response can be megabytes.
+
+// bufPool holds the encode buffers GetBuffer hands out.
+var bufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
+// maxPooledBuf bounds the buffers PutBuffer keeps: a larger one (a big
+// batch answer) is left to the collector rather than pinned by the
+// pool.
+const maxPooledBuf = 64 << 10
+
+// GetBuffer returns an empty encode buffer from a shared pool. Append
+// to it, store the grown slice back through the pointer, and hand it
+// to PutBuffer once nothing reads the bytes any more.
+func GetBuffer() *[]byte {
+	return bufPool.Get().(*[]byte)
 }
 
-// fullHashRequestBody reads the header-less request fields into m.
+// PutBuffer returns a buffer taken with GetBuffer to the pool.
+func PutBuffer(bp *[]byte) {
+	if cap(*bp) > maxPooledBuf {
+		return
+	}
+	*bp = (*bp)[:0]
+	bufPool.Put(bp)
+}
+
+// binaryAppender is the encoding.BinaryAppender method set.
+type binaryAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// encodeTo writes m's encoding to w in one Write, through a pooled
+// buffer.
+func encodeTo(w io.Writer, m binaryAppender) error {
+	bp := GetBuffer()
+	defer PutBuffer(bp)
+	var err error
+	if *bp, err = m.AppendBinary(*bp); err != nil {
+		return err
+	}
+	_, err = w.Write(*bp)
+	return err
+}
+
+// uvarintLen is the encoded length of v as a uvarint.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// appendHeader appends the three-byte message header.
+func appendHeader(b []byte, t MsgType) []byte {
+	return append(b, Magic, Version, byte(t))
+}
+
+// appendStr appends a length-prefixed string.
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// EncodedSize returns the length of the request's encoding, computed
+// from the wire format without encoding it.
+func (m *FullHashRequest) EncodedSize() int {
+	return 3 + uvarintLen(uint64(len(m.ClientID))) + len(m.ClientID) +
+		uvarintLen(uint64(len(m.Prefixes))) + hashx.PrefixSize*len(m.Prefixes)
+}
+
+// appendBody appends the header-less request fields.
+func (m *FullHashRequest) appendBody(b []byte) []byte {
+	b = appendStr(b, m.ClientID)
+	b = binary.AppendUvarint(b, uint64(len(m.Prefixes)))
+	for _, p := range m.Prefixes {
+		b = binary.BigEndian.AppendUint32(b, uint32(p))
+	}
+	return b
+}
+
+// AppendBinary appends the encoded request to b and returns the
+// extended slice. With a b whose spare capacity covers EncodedSize it
+// allocates nothing.
+//
+//sbcheck:hotpath
+func (m *FullHashRequest) AppendBinary(b []byte) ([]byte, error) {
+	b = appendHeader(b, MsgFullHashRequest)
+	return m.appendBody(b), nil
+}
+
+// Encode writes the request to w in one Write.
+func (m *FullHashRequest) Encode(w io.Writer) error {
+	return encodeTo(w, m)
+}
+
+// fullHashRequestBody reads the header-less request fields into m,
+// reusing the capacity of m.Prefixes.
 func (d *reader) fullHashRequestBody(m *FullHashRequest) error {
 	var err error
 	if m.ClientID, err = d.str("client id"); err != nil {
@@ -400,7 +555,10 @@ func (d *reader) fullHashRequestBody(m *FullHashRequest) error {
 	if err != nil {
 		return err
 	}
-	m.Prefixes = make([]hashx.Prefix, n)
+	if m.Prefixes == nil || uint64(cap(m.Prefixes)) < n {
+		m.Prefixes = make([]hashx.Prefix, n)
+	}
+	m.Prefixes = m.Prefixes[:n]
 	for i := range m.Prefixes {
 		if m.Prefixes[i], err = d.prefix(); err != nil {
 			return err
@@ -409,35 +567,52 @@ func (d *reader) fullHashRequestBody(m *FullHashRequest) error {
 	return nil
 }
 
-// Encode writes the request to w.
-func (m *FullHashRequest) Encode(w io.Writer) error {
-	e := &writer{w: w}
-	e.header(MsgFullHashRequest)
-	e.fullHashRequestBody(m)
-	return e.err
-}
-
 // DecodeFullHashRequest reads a FullHashRequest from r.
 func DecodeFullHashRequest(r io.Reader) (*FullHashRequest, error) {
-	d := &reader{r: bufio.NewReader(r)}
-	if err := d.header(MsgFullHashRequest); err != nil {
-		return nil, err
-	}
 	m := &FullHashRequest{}
-	if err := d.fullHashRequestBody(m); err != nil {
+	if err := DecodeFullHashRequestInto(r, m); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// fullHashResponseBody writes the header-less response fields.
-func (e *writer) fullHashResponseBody(m *FullHashResponse) {
-	e.uvarint(uint64(m.CacheSeconds))
-	e.uvarint(uint64(len(m.Entries)))
-	for _, fh := range m.Entries {
-		e.str(fh.List)
-		e.bytes(fh.Digest[:])
+// DecodeFullHashRequestInto reads a FullHashRequest from r into m,
+// reusing the capacity of m.Prefixes: decoding into a reused m
+// allocates only the client id string. On error m holds a partial
+// message.
+func DecodeFullHashRequestInto(r io.Reader, m *FullHashRequest) error {
+	d := newReader(r)
+	defer d.release()
+	if err := d.header(MsgFullHashRequest); err != nil {
+		return err
 	}
+	return d.fullHashRequestBody(m)
+}
+
+// appendBody appends the header-less response fields.
+func (m *FullHashResponse) appendBody(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(m.CacheSeconds))
+	b = binary.AppendUvarint(b, uint64(len(m.Entries)))
+	for i := range m.Entries {
+		b = appendStr(b, m.Entries[i].List)
+		b = append(b, m.Entries[i].Digest[:]...)
+	}
+	return b
+}
+
+// AppendBinary appends the encoded response to b and returns the
+// extended slice. With a b whose spare capacity covers the encoding it
+// allocates nothing.
+//
+//sbcheck:hotpath
+func (m *FullHashResponse) AppendBinary(b []byte) ([]byte, error) {
+	b = appendHeader(b, MsgFullHashResponse)
+	return m.appendBody(b), nil
+}
+
+// Encode writes the response to w in one Write.
+func (m *FullHashResponse) Encode(w io.Writer) error {
+	return encodeTo(w, m)
 }
 
 // fullHashResponseBody reads the header-less response fields into m.
@@ -463,17 +638,11 @@ func (d *reader) fullHashResponseBody(m *FullHashResponse) error {
 	return nil
 }
 
-// Encode writes the response to w.
-func (m *FullHashResponse) Encode(w io.Writer) error {
-	e := &writer{w: w}
-	e.header(MsgFullHashResponse)
-	e.fullHashResponseBody(m)
-	return e.err
-}
-
-// DecodeFullHashResponse reads a FullHashResponse from r.
+// DecodeFullHashResponse reads a FullHashResponse from r. The result
+// and everything in it are freshly allocated and owned by the caller.
 func DecodeFullHashResponse(r io.Reader) (*FullHashResponse, error) {
-	d := &reader{r: bufio.NewReader(r)}
+	d := newReader(r)
+	defer d.release()
 	if err := d.header(MsgFullHashResponse); err != nil {
 		return nil, err
 	}
@@ -484,58 +653,93 @@ func DecodeFullHashResponse(r io.Reader) (*FullHashResponse, error) {
 	return m, nil
 }
 
-// Encode writes the batch request to w. Batches larger than
-// MaxBatchRequests are rejected here, where the caller can still react,
-// rather than by the peer's decoder.
-func (m *FullHashBatchRequest) Encode(w io.Writer) error {
+// errBatchCount reports a batch over MaxBatchRequests.
+func errBatchCount(what string, n int) error {
+	return fmt.Errorf("%w: batch %s count = %d > %d", ErrTooLarge, what, n, MaxBatchRequests)
+}
+
+// AppendBinary appends the encoded batch request to b and returns the
+// extended slice. Batches larger than MaxBatchRequests are rejected
+// here, where the caller can still react, rather than by the peer's
+// decoder.
+//
+//sbcheck:hotpath
+func (m *FullHashBatchRequest) AppendBinary(b []byte) ([]byte, error) {
 	if len(m.Requests) > MaxBatchRequests {
-		return fmt.Errorf("%w: batch request count = %d > %d", ErrTooLarge, len(m.Requests), MaxBatchRequests)
+		return b, errBatchCount("request", len(m.Requests))
 	}
-	e := &writer{w: w}
-	e.header(MsgFullHashBatchRequest)
-	e.uvarint(uint64(len(m.Requests)))
+	b = appendHeader(b, MsgFullHashBatchRequest)
+	b = binary.AppendUvarint(b, uint64(len(m.Requests)))
 	for i := range m.Requests {
-		e.fullHashRequestBody(&m.Requests[i])
+		b = m.Requests[i].appendBody(b)
 	}
-	return e.err
+	return b, nil
+}
+
+// Encode writes the batch request to w in one Write; see AppendBinary.
+func (m *FullHashBatchRequest) Encode(w io.Writer) error {
+	return encodeTo(w, m)
 }
 
 // DecodeFullHashBatchRequest reads a FullHashBatchRequest from r.
 func DecodeFullHashBatchRequest(r io.Reader) (*FullHashBatchRequest, error) {
-	d := &reader{r: bufio.NewReader(r)}
-	if err := d.header(MsgFullHashBatchRequest); err != nil {
+	m := &FullHashBatchRequest{}
+	if err := DecodeFullHashBatchRequestInto(r, m); err != nil {
 		return nil, err
-	}
-	n, err := d.uvarint(MaxBatchRequests, "batch request count")
-	if err != nil {
-		return nil, err
-	}
-	m := &FullHashBatchRequest{Requests: make([]FullHashRequest, n)}
-	for i := range m.Requests {
-		if err := d.fullHashRequestBody(&m.Requests[i]); err != nil {
-			return nil, err
-		}
 	}
 	return m, nil
 }
 
-// Encode writes the batch response to w.
-func (m *FullHashBatchResponse) Encode(w io.Writer) error {
+// DecodeFullHashBatchRequestInto reads a FullHashBatchRequest from r
+// into m, reusing the capacity of m.Requests and of each request's
+// Prefixes. On error m holds a partial message.
+func DecodeFullHashBatchRequestInto(r io.Reader, m *FullHashBatchRequest) error {
+	d := newReader(r)
+	defer d.release()
+	if err := d.header(MsgFullHashBatchRequest); err != nil {
+		return err
+	}
+	n, err := d.uvarint(MaxBatchRequests, "batch request count")
+	if err != nil {
+		return err
+	}
+	if m.Requests == nil || uint64(cap(m.Requests)) < n {
+		m.Requests = make([]FullHashRequest, n)
+	}
+	m.Requests = m.Requests[:n]
+	for i := range m.Requests {
+		if err := d.fullHashRequestBody(&m.Requests[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AppendBinary appends the encoded batch response to b and returns the
+// extended slice.
+//
+//sbcheck:hotpath
+func (m *FullHashBatchResponse) AppendBinary(b []byte) ([]byte, error) {
 	if len(m.Responses) > MaxBatchRequests {
-		return fmt.Errorf("%w: batch response count = %d > %d", ErrTooLarge, len(m.Responses), MaxBatchRequests)
+		return b, errBatchCount("response", len(m.Responses))
 	}
-	e := &writer{w: w}
-	e.header(MsgFullHashBatchResponse)
-	e.uvarint(uint64(len(m.Responses)))
+	b = appendHeader(b, MsgFullHashBatchResponse)
+	b = binary.AppendUvarint(b, uint64(len(m.Responses)))
 	for i := range m.Responses {
-		e.fullHashResponseBody(&m.Responses[i])
+		b = m.Responses[i].appendBody(b)
 	}
-	return e.err
+	return b, nil
+}
+
+// Encode writes the batch response to w in one Write.
+func (m *FullHashBatchResponse) Encode(w io.Writer) error {
+	return encodeTo(w, m)
 }
 
 // DecodeFullHashBatchResponse reads a FullHashBatchResponse from r.
 func DecodeFullHashBatchResponse(r io.Reader) (*FullHashBatchResponse, error) {
-	d := &reader{r: bufio.NewReader(r)}
+	d := newReader(r)
+	defer d.release()
 	if err := d.header(MsgFullHashBatchResponse); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -216,6 +217,31 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodedSizeMatchesAppendBinary holds the computed request size
+// (what the client's Stats.WireBytes counts) to the real encoding on
+// randomized requests whose field lengths straddle the one-to-two-byte
+// uvarint boundary.
+func TestEncodedSizeMatchesAppendBinary(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		id := make([]byte, rng.Intn(maxStringLen+1))
+		rng.Read(id)
+		req := &FullHashRequest{ClientID: string(id), Prefixes: make([]hashx.Prefix, rng.Intn(maxPrefixesPerReq+1))}
+		for j := range req.Prefixes {
+			req.Prefixes[j] = hashx.Prefix(rng.Uint32())
+		}
+		enc, err := req.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := req.EncodedSize(); got != len(enc) {
+			t.Fatalf("EncodedSize = %d, len(AppendBinary(nil)) = %d (id %d bytes, %d prefixes)",
+				got, len(enc), len(req.ClientID), len(req.Prefixes))
+		}
 	}
 }
 

@@ -270,6 +270,37 @@ func BenchmarkServerConcurrentFullHash(b *testing.B) {
 	})
 }
 
+// BenchmarkServerRecordFlush is the campaign shape: one client issues a
+// 2-prefix request and the provider flushes before the next one, as
+// workload.Campaign.Run does after every visit. Each iteration is one
+// probe recorded and delivered to a subscribed sink, so the number is
+// the cost of the per-visit barrier on top of the lookup.
+func BenchmarkServerRecordFlush(b *testing.B) {
+	server, prefixes := benchServer(b, 100000)
+	defer func() {
+		if err := server.Close(); err != nil {
+			b.Errorf("server close: %v", err)
+		}
+	}()
+	sink := &countingSink{}
+	server.Subscribe(sink)
+	req := &wire.FullHashRequest{ClientID: "visitor", Prefixes: make([]hashx.Prefix, 2)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Prefixes[0] = prefixes[i%len(prefixes)]
+		req.Prefixes[1] = hashx.Prefix(i) // miss
+		if _, err := server.FullHashes(req); err != nil {
+			b.Fatal(err)
+		}
+		server.Flush()
+	}
+	b.StopTimer()
+	if got := sink.n.Load(); got != int64(b.N) {
+		b.Fatalf("sink saw %d probes, want %d", got, b.N)
+	}
+}
+
 // BenchmarkServerConcurrentUpdate measures parallel database mutation:
 // each goroutine streams unique digests into the shared list. Under the
 // seed design every insert serialized on the global write lock; here the

@@ -430,3 +430,237 @@ func TestFlushIsBarrier(t *testing.T) {
 		t.Errorf("after Flush sink saw %d probes, want %d", len(rec.probes), n)
 	}
 }
+
+// orderSink checks the pipeline's delivery contract as probes arrive.
+// Each cookie's probes carry 0, 1, 2, ... in their first prefix, so a
+// reordered, duplicated or lost probe breaks the cookie's sequence.
+type orderSink struct {
+	mu   sync.Mutex
+	next map[string]uint32
+	errs []string
+}
+
+func newOrderSink() *orderSink { return &orderSink{next: make(map[string]uint32)} }
+
+func (o *orderSink) Observe(p Probe) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	got, want := uint32(p.Prefixes[0]), o.next[p.ClientID]
+	if got != want && len(o.errs) < 10 {
+		o.errs = append(o.errs, fmt.Sprintf("cookie %s: probe %d arrived, want %d", p.ClientID, got, want))
+	}
+	o.next[p.ClientID] = got + 1
+}
+
+// check requires every cookie of every recorder to have delivered
+// exactly perCookie probes, in order.
+func (o *orderSink) check(t *testing.T, recorders, cookies, perCookie int) {
+	t.Helper()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, e := range o.errs {
+		t.Error(e)
+	}
+	for r := 0; r < recorders; r++ {
+		for c := 0; c < cookies; c++ {
+			if got := o.next[seqCookie(r, c)]; got != uint32(perCookie) {
+				t.Errorf("cookie %s: %d probes delivered, want %d", seqCookie(r, c), got, perCookie)
+			}
+		}
+	}
+}
+
+func seqCookie(recorder, cookie int) string { return fmt.Sprintf("r%d-c%d", recorder, cookie) }
+
+// recordSequences issues cookies*perCookie requests from one recorder,
+// interleaving its cookies, each numbering its probes from 0.
+func recordSequences(t *testing.T, s *Server, recorder, cookies, perCookie int) {
+	req := &wire.FullHashRequest{Prefixes: make([]hashx.Prefix, 1)}
+	for i := 0; i < cookies*perCookie; i++ {
+		req.ClientID = seqCookie(recorder, i%cookies)
+		req.Prefixes[0] = hashx.Prefix(i / cookies)
+		if _, err := s.FullHashes(req); err != nil {
+			t.Errorf("FullHashes: %v", err)
+			return
+		}
+	}
+}
+
+// waitOrFail waits for wg, failing the test if that takes longer than
+// a generous bound: a pipeline deadlock must fail, not hang.
+func waitOrFail(t *testing.T, wg *sync.WaitGroup, what string) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s did not finish: pipeline deadlock", what)
+	}
+}
+
+// TestPipelineFIFOWithConcurrentFlush: while 8 recorders feed the
+// pipeline and 4 goroutines call Flush in a loop, the drainers and the
+// flushers both deliver, and every cookie still sees each of its probes
+// exactly once, in record order.
+func TestPipelineFIFOWithConcurrentFlush(t *testing.T) {
+	t.Parallel()
+	s := New(WithProbeBuffer(32))
+	sink := newOrderSink()
+	s.Subscribe(sink)
+
+	const recorders, cookies, perCookie, flushers = 8, 4, 150, 4
+	stop := make(chan struct{})
+	var flushWG sync.WaitGroup
+	for f := 0; f < flushers; f++ {
+		flushWG.Add(1)
+		go func() {
+			defer flushWG.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					s.Flush()
+				}
+			}
+		}()
+	}
+	var recWG sync.WaitGroup
+	for r := 0; r < recorders; r++ {
+		recWG.Add(1)
+		go func(r int) {
+			defer recWG.Done()
+			recordSequences(t, s, r, cookies, perCookie)
+		}(r)
+	}
+	waitOrFail(t, &recWG, "recorders")
+	close(stop)
+	waitOrFail(t, &flushWG, "flushers")
+	s.Flush()
+	sink.check(t, recorders, cookies, perCookie)
+	if got, want := len(s.Probes()), recorders*cookies*perCookie; got != want {
+		t.Errorf("probe log = %d, want %d", got, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// TestOverflowBlockSpaceChainStaysLive: with a small buffer, a slow
+// sink and 8 recorders, recorders keep finding their stripe's queue
+// full and wait for space. Each drain wakes one waiter, which passes the
+// signal on while room remains, so every recorder finishes and nothing
+// is dropped or reordered. A one-probe buffer admits one waiter per
+// drain; a larger one makes the waiters pass the signal along.
+func TestOverflowBlockSpaceChainStaysLive(t *testing.T) {
+	t.Parallel()
+	for _, buffer := range []int{1, 8} {
+		t.Run(fmt.Sprintf("buffer-%d", buffer), func(t *testing.T) {
+			t.Parallel()
+			s := New(WithProbeBuffer(buffer))
+			sink := newOrderSink()
+			s.Subscribe(sink)
+			s.Subscribe(slowSink{inner: &recordingSink{}, delay: 20 * time.Microsecond})
+
+			const recorders, cookies, perCookie = 8, 2, 40
+			var wg sync.WaitGroup
+			for r := 0; r < recorders; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					recordSequences(t, s, r, cookies, perCookie)
+				}(r)
+			}
+			waitOrFail(t, &wg, "blocked recorders")
+			s.Flush()
+			sink.check(t, recorders, cookies, perCookie)
+			if stats := s.ProbeStats(); stats.Dropped != 0 || stats.Received != recorders*cookies*perCookie {
+				t.Errorf("stats = %+v, want every probe received and none dropped", stats)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		})
+	}
+}
+
+// TestFlushConcurrentWithClose: Flush racing Close, with recorders
+// running before, during and after Close, neither deadlocks nor loses
+// or duplicates a probe. Probes recorded after Close are delivered
+// synchronously, in the same per-cookie order.
+func TestFlushConcurrentWithClose(t *testing.T) {
+	t.Parallel()
+	s := New(WithProbeBuffer(8))
+	sink := newOrderSink()
+	s.Subscribe(sink)
+	s.Subscribe(slowSink{inner: &recordingSink{}, delay: 10 * time.Microsecond})
+
+	const recorders, cookies, perCookie, flushers = 4, 2, 100, 2
+	var wg sync.WaitGroup
+	for r := 0; r < recorders; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			recordSequences(t, s, r, cookies, perCookie)
+		}(r)
+	}
+	for f := 0; f < flushers; f++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s.Flush()
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		time.Sleep(time.Millisecond)
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	waitOrFail(t, &wg, "recorders, flushers and Close")
+	s.Flush()
+	sink.check(t, recorders, cookies, perCookie)
+	if got, want := len(s.Probes()), recorders*cookies*perCookie; got != want {
+		t.Errorf("probe log = %d, want %d", got, want)
+	}
+}
+
+type noopSink struct{}
+
+func (noopSink) Observe(Probe) {}
+
+// TestFlushAllocs: the per-visit barrier allocates nothing, whether
+// nothing is pending or a probe was just recorded.
+func TestFlushAllocs(t *testing.T) {
+	s := New(WithProbeLogLimit(8))
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	s.Subscribe(noopSink{})
+	probe := Probe{ClientID: "c", Prefixes: []hashx.Prefix{1}}
+	recordFlush := func() {
+		s.probes.record(probe)
+		s.Flush()
+	}
+	// Grow both of the stripe's circulating queue slices and fill the
+	// bounded log, so the measured runs see steady state.
+	for i := 0; i < 16; i++ {
+		recordFlush()
+	}
+	if allocs := testing.AllocsPerRun(100, s.Flush); allocs != 0 {
+		t.Errorf("Flush with nothing pending: %v allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, recordFlush); allocs != 0 {
+		t.Errorf("record + Flush: %v allocs, want 0", allocs)
+	}
+}

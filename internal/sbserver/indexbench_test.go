@@ -47,6 +47,42 @@ func TestRunIndexBenchSmoke(t *testing.T) {
 	}
 }
 
+// strayAlloc is written by the allocating goroutine of
+// TestRunIndexBenchIgnoresStrayAllocs, so its allocations reach the heap.
+var strayAlloc []byte
+
+// TestRunIndexBenchIgnoresStrayAllocs runs the benchmark beside a
+// goroutine that allocates in a loop. Those allocations fall inside the
+// process-wide MemStats window, yet the lookup allocation count must
+// still read 0: the gate measures the lookup, not its neighbours.
+func TestRunIndexBenchIgnoresStrayAllocs(t *testing.T) {
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				strayAlloc = make([]byte, 64)
+			}
+		}
+	}()
+	rep, err := RunIndexBench(IndexBenchConfig{Sizes: []int{500, 2000}, Lookups: 4000, Seed: 7})
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatalf("RunIndexBench: %v", err)
+	}
+	for _, res := range rep.Results {
+		if res.New.LookupAllocsPerOp != 0 {
+			t.Errorf("size %d: flat lookup allocs/op = %v beside an allocating goroutine, want 0",
+				res.Prefixes, res.New.LookupAllocsPerOp)
+		}
+	}
+}
+
 // TestRunIndexBenchRejectsBadConfig covers the config validation paths.
 func TestRunIndexBenchRejectsBadConfig(t *testing.T) {
 	if _, err := RunIndexBench(IndexBenchConfig{}); err == nil {

@@ -39,15 +39,13 @@ type ProbeStats struct {
 // maxProbeStripes caps the drainer goroutines per server.
 const maxProbeStripes = 16
 
-// probeMsg is one unit on a stripe channel: either a sequenced probe or
-// a flush barrier (flush != nil). sinks is the sink list captured at
+// probeMsg is one queued probe. sinks is the sink list captured at
 // record time, so a sink subscribed after a request never observes it —
 // Subscribe is a cut-point, as it was when delivery was synchronous.
 type probeMsg struct {
 	seq   uint64
 	probe Probe
 	sinks []ProbeSink
-	flush chan struct{}
 }
 
 // seqProbe is a logged probe tagged with its global record order.
@@ -57,41 +55,75 @@ type seqProbe struct {
 }
 
 // probeStripe is one independently drained lane of the pipeline with its
-// own log segment. The log is written only by the stripe's drainer (or
-// by record() after close), so the mutex is effectively uncontended on
-// the hot path; snapshot() takes it briefly to copy.
+// own queue and log segment.
+//
+// Recorders append to queue under qmu. Delivery — by the stripe's
+// drainer goroutine, by flush, or by a recorder after close — always
+// goes through drain, which holds drainMu while it swaps the whole queue
+// out and delivers it; holding drainMu across delivery is what keeps one
+// stripe's probes, and so one cookie's, in FIFO order whoever drains.
+// Two slices circulate: the queue recorders fill and the batch being
+// delivered, which becomes the spare the next swap installs.
 type probeStripe struct {
-	ch   chan probeMsg
-	done chan struct{}
+	qmu     sync.Mutex
+	queue   []probeMsg
+	limit   int  // queue bound; a full queue blocks or drops
+	parked  bool // the drainer waits on wake
+	stopped bool // close was called: recorders deliver inline
+	waiters int  // OverflowBlock recorders waiting on space
 
-	mu      sync.Mutex
+	// wake and space are 1-slot signals. wake carries one token per
+	// park of the drainer; space tells one waiting recorder that a
+	// drain freed the queue, and that recorder passes it on while room
+	// and waiters remain.
+	wake  chan struct{}
+	space chan struct{}
+	done  chan struct{}
+
+	drainMu sync.Mutex
+	spare   []probeMsg // guarded by drainMu
+
+	mu      sync.Mutex // guards the log; held briefly by drain and readers
 	log     []seqProbe
 	start   int // ring head when the segment is at capacity
 	evicted uint64
 }
 
-// append adds a probe to the stripe's log segment, rotating when the
-// per-stripe capacity (the pipeline's logCap) is reached.
-func (st *probeStripe) append(sp seqProbe, logCap int) {
+// appendLog adds a delivered batch to the stripe's log segment, rotating
+// when the per-stripe capacity (the pipeline's logCap) is reached.
+func (st *probeStripe) appendLog(batch []probeMsg, logCap int) {
 	st.mu.Lock()
-	if logCap > 0 && len(st.log) == logCap {
-		st.log[st.start] = sp
-		st.start = (st.start + 1) % logCap
-		st.evicted++
-	} else {
-		st.log = append(st.log, sp)
+	for i := range batch {
+		sp := seqProbe{seq: batch[i].seq, probe: batch[i].probe}
+		if logCap > 0 && len(st.log) == logCap {
+			st.log[st.start] = sp
+			st.start = (st.start + 1) % logCap
+			st.evicted++
+		} else {
+			st.log = append(st.log, sp)
+		}
 	}
 	st.mu.Unlock()
 }
 
+// signal puts a token on a 1-slot channel unless one is already there.
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
 // probePipeline decouples probe recording from the full-hash serving
-// path: FullHashes enqueues on a bounded channel and returns; background
-// goroutines drain, append to the (optionally rotating) log and fan out
-// to subscribed sinks. The serving path therefore never blocks on a slow
-// sink, and no log mutex is ever contended by request handlers.
+// path: FullHashes appends to a bounded per-stripe queue and returns; a
+// background drainer per stripe swaps the queue out in batches, appends
+// them to the (optionally rotating) log and fans out to subscribed
+// sinks. The serving path therefore never blocks on a slow sink. Flush
+// does not hand off to the drainers: it drains every stripe itself, on
+// the calling goroutine.
 //
 // The pipeline is striped by client cookie so a fleet of clients doesn't
-// serialize on one channel: probes from the same client stay FIFO (the
+// serialize on one queue: probes from the same client stay FIFO (the
 // ordering the tracking and correlation machinery depends on), while
 // different clients ride different lanes. A global sequence number
 // assigned at record time lets snapshot() restore the exact record
@@ -106,12 +138,9 @@ type probePipeline struct {
 	seq     atomic.Uint64
 	dropped atomic.Uint64
 
-	// sinks is a copy-on-write slice loaded lock-free on delivery.
+	// sinks is a copy-on-write slice loaded lock-free on record.
 	sinks  atomic.Pointer[[]ProbeSink]
 	sinkMu sync.Mutex // serializes Subscribe writers
-
-	stateMu sync.RWMutex
-	closed  bool
 }
 
 func newProbePipeline(buffer, logCap int, policy OverflowPolicy) *probePipeline {
@@ -132,9 +161,12 @@ func newProbePipeline(buffer, logCap int, policy OverflowPolicy) *probePipeline 
 		logCap:  logCap,
 	}
 	for i := range p.stripes {
-		p.stripes[i].ch = make(chan probeMsg, perStripe)
-		p.stripes[i].done = make(chan struct{})
-		go p.run(&p.stripes[i])
+		st := &p.stripes[i]
+		st.limit = perStripe
+		st.wake = make(chan struct{}, 1)
+		st.space = make(chan struct{}, 1)
+		st.done = make(chan struct{})
+		go p.run(st)
 	}
 	return p
 }
@@ -147,93 +179,130 @@ func (p *probePipeline) stripeFor(clientID string) *probeStripe {
 	return &p.stripes[hashx.FNV32a(clientID)%uint32(len(p.stripes))]
 }
 
+// run is a stripe's drainer: it drains while the queue is non-empty and
+// parks on wake when it is empty, until close stops it.
 func (p *probePipeline) run(st *probeStripe) {
 	defer close(st.done)
-	for msg := range st.ch {
-		if msg.flush != nil {
-			close(msg.flush)
+	for {
+		st.qmu.Lock()
+		if len(st.queue) == 0 {
+			if st.stopped {
+				st.qmu.Unlock()
+				return
+			}
+			st.parked = true
+			st.qmu.Unlock()
+			<-st.wake
 			continue
 		}
-		p.deliver(st, seqProbe{seq: msg.seq, probe: msg.probe}, msg.sinks)
+		st.qmu.Unlock()
+		p.drain(st)
 	}
 }
 
-// deliver appends to the stripe's log segment and fans out to the sinks
-// captured when the probe was recorded.
-func (p *probePipeline) deliver(st *probeStripe, sp seqProbe, sinks []ProbeSink) {
-	st.append(sp, p.logCap)
-	for _, sink := range sinks {
-		sink.Observe(sp.probe)
-	}
-}
-
-// record hands a probe to the pipeline. Under OverflowBlock it waits for
-// buffer space; under OverflowDrop a full buffer discards the probe.
-// After close it falls back to synchronous delivery so a drained server
-// still observes everything.
-func (p *probePipeline) record(probe Probe) {
-	p.stateMu.RLock()
-	defer p.stateMu.RUnlock()
-	sp := seqProbe{seq: p.seq.Add(1), probe: probe}
-	st := p.stripeFor(probe.ClientID)
-	var sinks []ProbeSink
-	if sp2 := p.sinks.Load(); sp2 != nil {
-		sinks = *sp2
-	}
-	if p.closed {
-		// After close the drainers are gone; synchronous delivery under
-		// the read lock is the record-vs-close fence that guarantees a
-		// drained server still observes every probe.
-		p.deliver(st, sp, sinks) //sbcheck:ignore lockscope post-close synchronous delivery is the record-vs-close fence; RLock only excludes close, never other recorders
+// drain delivers everything queued on st, in queue order, to the log
+// and to the sinks captured when each probe was recorded.
+func (p *probePipeline) drain(st *probeStripe) {
+	st.drainMu.Lock()
+	defer st.drainMu.Unlock()
+	st.qmu.Lock()
+	batch := st.queue
+	if len(batch) == 0 {
+		st.qmu.Unlock()
 		return
 	}
-	msg := probeMsg{seq: sp.seq, probe: probe, sinks: sinks}
-	if p.policy == OverflowDrop {
-		select {
-		case st.ch <- msg:
-		default:
-			p.dropped.Add(1)
+	st.queue, st.spare = st.spare[:0], nil
+	if st.waiters > 0 {
+		signal(st.space)
+	}
+	st.qmu.Unlock()
+	p.deliver(st, batch) //sbcheck:ignore lockscope per-stripe FIFO contract: delivery runs under drainMu so the drainer, flush and post-close recorders hand one cookie's probes to the sinks in record order
+	// Drop the probes' references before the slice is reused.
+	clear(batch)
+	st.spare = batch[:0]
+}
+
+// deliver appends a batch to the stripe's log segment and fans each
+// probe out to its sinks.
+func (p *probePipeline) deliver(st *probeStripe, batch []probeMsg) {
+	st.appendLog(batch, p.logCap)
+	for i := range batch {
+		for _, sink := range batch[i].sinks {
+			sink.Observe(batch[i].probe)
 		}
-		return
 	}
-	// OverflowBlock deliberately applies backpressure here; stateMu is an
-	// RLock shared by every recorder, so the wait stalls no one but close.
-	st.ch <- msg //sbcheck:ignore lockscope OverflowBlock backpressure send under the shared RLock is the documented record-vs-close fence
+}
+
+// record hands a probe to the pipeline. Under OverflowBlock a recorder
+// that finds its stripe's queue full waits, outside every lock, for a
+// drain to free space; under OverflowDrop it discards the probe. After
+// close it delivers synchronously, so a drained server still observes
+// everything.
+func (p *probePipeline) record(probe Probe) {
+	msg := probeMsg{seq: p.seq.Add(1), probe: probe}
+	if sinks := p.sinks.Load(); sinks != nil {
+		msg.sinks = *sinks
+	}
+	st := p.stripeFor(probe.ClientID)
+	st.qmu.Lock()
+	for !st.stopped && len(st.queue) >= st.limit {
+		if p.policy == OverflowDrop {
+			st.qmu.Unlock()
+			p.dropped.Add(1)
+			return
+		}
+		st.waiters++
+		st.qmu.Unlock()
+		<-st.space
+		st.qmu.Lock()
+		st.waiters--
+	}
+	st.queue = append(st.queue, msg)
+	stopped := st.stopped
+	if st.waiters > 0 && (stopped || len(st.queue) < st.limit) {
+		signal(st.space) // pass the space signal down the waiter chain
+	}
+	wake := st.parked // never set once stopped
+	st.parked = false
+	st.qmu.Unlock()
+	if stopped {
+		p.drain(st)
+	} else if wake {
+		signal(st.wake)
+	}
 }
 
 // flush blocks until every probe recorded before the call has been
-// delivered to the log and all sinks.
+// delivered to the log and all sinks. It drains each stripe on the
+// calling goroutine: a batch the drainer is already delivering finishes
+// first (drainMu), then whatever is still queued is delivered here.
 func (p *probePipeline) flush() {
-	p.stateMu.RLock()
-	if p.closed {
-		p.stateMu.RUnlock()
-		return
-	}
-	barriers := make([]chan struct{}, len(p.stripes))
 	for i := range p.stripes {
-		barriers[i] = make(chan struct{})
-		p.stripes[i].ch <- probeMsg{flush: barriers[i]} //sbcheck:ignore lockscope flush barrier send must happen under the RLock so close cannot retire the drainers mid-flush
-	}
-	p.stateMu.RUnlock()
-	for _, b := range barriers {
-		<-b
+		p.drain(&p.stripes[i])
 	}
 }
 
-// close stops the drainers after they finish everything already
-// enqueued. When wait is true, close returns only once the drain is
-// complete — the flush-on-Close guarantee.
+// close stops the drainers; each drains what is queued before it
+// exits, and later recorders deliver inline. When wait is true, close
+// returns only once everything recorded before it was delivered — the
+// flush-on-Close guarantee.
 func (p *probePipeline) close(wait bool) {
-	p.stateMu.Lock()
-	already := p.closed
-	p.closed = true
-	if !already {
-		for i := range p.stripes {
-			close(p.stripes[i].ch)
+	for i := range p.stripes {
+		st := &p.stripes[i]
+		st.qmu.Lock()
+		st.stopped = true
+		wake := st.parked
+		st.parked = false
+		st.qmu.Unlock()
+		if wake {
+			signal(st.wake)
 		}
 	}
-	p.stateMu.Unlock()
 	if wait {
+		// A post-close recorder may have swapped pre-close probes out
+		// of the queue before the drainer saw them; flush waits for its
+		// batch too.
+		p.flush()
 		for i := range p.stripes {
 			<-p.stripes[i].done
 		}

@@ -52,8 +52,16 @@ type Probe struct {
 }
 
 // ProbeSink receives a copy of every probe. Implementations must be safe
-// for concurrent use. Observe is called from the probe pipeline's
-// drainer goroutine, not from the request path.
+// for concurrent use.
+//
+// Observe runs on a probe pipeline drainer goroutine, or on the
+// goroutine inside Flush, Probes or Close that drains the pipeline
+// itself; it never runs on the request path of a running server (after
+// Close, the recording call delivers synchronously). Calls are
+// serialized per client-striped lane, so one cookie's probes arrive in
+// record order, while different lanes may call Observe concurrently. A
+// sink must not call back into the server's Flush, Probes or Close:
+// they wait for the very delivery the sink is part of.
 type ProbeSink interface {
 	Observe(p Probe)
 }
@@ -118,7 +126,9 @@ func WithClock(now func() time.Time) Option {
 }
 
 // WithProbeBuffer sets the total capacity of the async probe pipeline,
-// divided across its client-striped lanes.
+// divided across its client-striped lanes. The bound counts probes
+// waiting in the lanes' queues; a batch being delivered has left its
+// queue.
 func WithProbeBuffer(n int) Option {
 	return func(s *Server) { s.probeBuffer = n }
 }
@@ -184,6 +194,9 @@ func (s *Server) Close() error {
 
 // Flush blocks until every probe recorded so far has reached the probe
 // log and all subscribed sinks. Call it before inspecting sink state.
+// Flush delivers pending probes itself, on the calling goroutine, after
+// any batch a drainer is already delivering; it hands nothing off and
+// allocates nothing.
 func (s *Server) Flush() {
 	s.probes.flush()
 }
